@@ -41,6 +41,12 @@ class Tape:
         self.params.append(node)
         return node
 
+    def release(self) -> None:
+        """Drop the graph once its gradients are taken: nodes refer to their
+        tape, so otherwise only the cycle collector frees a step's arrays."""
+        self.nodes.clear()
+        self.params.clear()
+
 
 class Node:
     """One value in the recorded graph."""
@@ -242,34 +248,34 @@ def conv2d(x: Node, w: Node, padding: str = "same") -> Node:
     k, _, kh, kw = w.dims
     if kh == 1 and kw == 1:
         out = tc.conv2d(x.tensor, w.tensor, padding)
-        x_data, w_data = x.data, w.data
+        w_mat, x_flat = w.data.reshape(k, c), x.data.reshape(n, c, h * wd)
 
         def back1(up):
-            gx = tc.conv2d_input_grad(up, w_data, (h, wd), padding) if x.needs_grad else None
-            gw = tc.conv2d_weight_grad(up, x_data, (1, 1), padding) if w.needs_grad else None
+            dy = up.reshape(n, k, h * wd)
+            gx = (w_mat.T @ dy).reshape(n, c, h, wd) if x.needs_grad else None
+            gw = (dy @ x_flat.transpose(0, 2, 1)).sum(axis=0).reshape(k, c, 1, 1) \
+                if w.needs_grad else None
             return (gx, gw)
 
         return Node(_same_tape(x, w), out, (x, w), back1)
 
-    # the patch matrix is built once and reused by both gradient paths
+    # the per-image patch matrices are built once and reused by both gradient paths
     xp = tc._pad_for(x.data, kh, kw, padding)
-    hp, wp = xp.shape[2:]
     cols, (oh, ow) = tc._im2col(xp, kh, kw)
     w_mat = w.data.reshape(k, -1)
-    out_arr = np.ascontiguousarray((cols @ w_mat.T).reshape(n, oh, ow, k).transpose(0, 3, 1, 2))
-    out = Tensor(out_arr, copy=False)
+    out = Tensor((w_mat @ cols).reshape(n, k, oh, ow), copy=False)
 
     def back(up):
-        dy_mat = up.transpose(0, 2, 3, 1).reshape(-1, k)
-        gw = (dy_mat.T @ cols).reshape(k, c, kh, kw) if w.needs_grad else None
+        dy = up.reshape(n, k, oh * ow)
+        # one product over all (image, pixel) rows: a per-image sum moves the last
+        # bits, and the teacher's training is sensitive to them (ROADMAP Blocker)
+        gw = (dy.transpose(0, 2, 1).reshape(-1, k).T @ cols.transpose(0, 2, 1).reshape(
+            -1, c * kh * kw)).reshape(k, c, kh, kw) if w.needs_grad else None
         gx = None
         if x.needs_grad:
-            dxp = tc._col2im_add(dy_mat @ w_mat, n, c, hp, wp, kh, kw, (oh, ow))
-            if padding == "same":
-                ph, pw = (kh - 1) // 2, (kw - 1) // 2
-                gx = np.ascontiguousarray(dxp[:, :, ph:ph + h, pw:pw + wd])
-            else:
-                gx = dxp
+            dxp = tc._col2im_add(w_mat.T @ dy, xp.shape, kh, kw)
+            ph, pw = (xp.shape[2] - h) // 2, (xp.shape[3] - wd) // 2
+            gx = np.ascontiguousarray(dxp[:, :, ph:ph + h, pw:pw + wd])
         return (gx, gw)
 
     return Node(_same_tape(x, w), out, (x, w), back)

@@ -83,6 +83,12 @@ def _load_teacher(cfg: RunConfig) -> Backbone:
     return load_backbone(path)
 
 
+def _load_policy(path) -> AugPolicy:
+    if not Path(path).is_file():
+        raise DataError(f"policy document {path} does not exist")
+    return policy_from_document(Path(path).read_text(encoding="utf-8"))
+
+
 def _load_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return load_dataset(cfg.data.path, "train"), load_dataset(cfg.data.path, "test")
 
@@ -173,7 +179,7 @@ def cmd_distill(cfg: RunConfig) -> int:
         if not cfg.train.policy_path:
             raise ConfigError("sokd distillation needs train.policy_path "
                               "(a policy document from a search run)")
-        policy = policy_from_document(Path(cfg.train.policy_path).read_text(encoding="utf-8"))
+        policy = _load_policy(cfg.train.policy_path)
         discrete = discretize(policy)
     state = None
     if cfg.train.student_checkpoint:
@@ -245,7 +251,7 @@ def cmd_policy_oracle(cfg: RunConfig) -> int:
     _write_csv(out / "policy_oracle.csv", ("rank", "ops", "beta", "m", "loss"), rows)
     chosen_rank = None
     if cfg.train.policy_path:
-        policy = policy_from_document(Path(cfg.train.policy_path).read_text(encoding="utf-8"))
+        policy = _load_policy(cfg.train.policy_path)
         chosen = discretize(policy)
         key = "+".join(op.kind for op in chosen.sub.ops)
         for i, row in enumerate(rows):

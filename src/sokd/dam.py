@@ -36,11 +36,27 @@ class DistinctiveArea:
 
     def clipped_box(self, h: int, w: int) -> tuple[float, float, float, float]:
         """(x0, x1, y0, y1) intersected with the grid extent."""
-        x0 = max(self.center_x - self.width / 2.0, 0.0)
-        x1 = min(self.center_x + self.width / 2.0, float(w))
-        y0 = max(self.center_y - self.height / 2.0, 0.0)
-        y1 = min(self.center_y + self.height / 2.0, float(h))
-        return x0, x1, y0, y1
+        raw = np.array([self.center_x, self.center_y, self.width, self.height])
+        return tuple(float(v) for v in _clip_boxes(raw, h, w))
+
+
+def _clip_boxes(raw: np.ndarray, h: int, w: int) -> tuple:
+    """float64 (..., 4) boxes (center_x, center_y, width, height) as the
+    arrays (x0, x1, y0, y1) of their intersections with the grid extent."""
+    cx, cy, bw, bh = np.moveaxis(raw, -1, 0)
+    return (np.maximum(cx - bw / 2.0, 0.0), np.minimum(cx + bw / 2.0, float(w)),
+            np.maximum(cy - bh / 2.0, 0.0), np.minimum(cy + bh / 2.0, float(h)))
+
+
+def _box_masks(box: tuple, h: int, w: int) -> np.ndarray:
+    """Boolean (..., H, W) masks of clipped boxes: cell (r, c) belongs iff
+    its center (c + 0.5, r + 0.5) lies inside the box. Boxes are half-open,
+    so zero-area boxes select nothing."""
+    x0, x1, y0, y1 = (np.asarray(edge)[..., None] for edge in box)
+    rows, cols = np.arange(h) + 0.5, np.arange(w) + 0.5
+    inside_rows = (rows >= y0) & (rows < y1)
+    inside_cols = (cols >= x0) & (cols < x1)
+    return inside_rows[..., :, None] & inside_cols[..., None, :]
 
 
 class DamHead:
@@ -146,46 +162,48 @@ def dam_align_loss(student_branches, teacher_branches) -> float:
     return total
 
 
-def _peak_mask(hm: np.ndarray) -> np.ndarray:
-    """Cells that are >= all 8 neighbours (missing border neighbours ignored)."""
-    h, w = hm.shape
-    padded = np.full((h + 2, w + 2), -np.inf)
-    padded[1:-1, 1:-1] = hm
-    peaks = np.ones((h, w), dtype=bool)
+def decode_batch(heat: np.ndarray, size: np.ndarray, offset: np.ndarray,
+                 n: int) -> list[list[DistinctiveArea]]:
+    """Top-n peaks of each image decoded into boxes; heat is (N,1,H,W),
+    size and offset are (N,2,H,W).
+
+    A peak is a cell >= all 8 neighbours (missing border neighbours are
+    ignored). Peaks rank by score descending, then raster order, which is
+    stable under candidate permutation. A peak whose clipped box is empty
+    is skipped, so an image may get fewer than n areas."""
+    count, _, h, w = heat.shape
+    hm = heat[:, 0]
+    padded = np.full((count, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = hm
+    peaks = np.ones(hm.shape, dtype=bool)
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            peaks &= hm >= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
-    return peaks
+            if dr or dc:
+                peaks &= hm >= padded[:, 1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+    img, rows, cols = np.nonzero(peaks)
+    order = np.lexsort((rows * w + cols, -hm[img, rows, cols], img))
+    img, rows, cols = img[order], rows[order], cols[order]
+    # (center_x, center_y, width, height) per candidate
+    raw = np.concatenate([offset, size], axis=1)[img, :, rows, cols].astype(np.float64)
+    raw[:, 0] += cols
+    raw[:, 1] += rows
+    x0, x1, y0, y1 = _clip_boxes(raw, h, w)
+    kept = np.flatnonzero((x1 > x0) & (y1 > y0))
+    # candidates stay grouped by image, so a candidate's rank within its
+    # image is its distance from the image's first candidate
+    rank = np.arange(kept.size) - np.searchsorted(img[kept], img[kept])
+    chosen = kept[rank < n]
+    areas: list[list[DistinctiveArea]] = [[] for _ in range(count)]
+    for i, (cx, cy, bw, bh), score in zip(img[chosen].tolist(), raw[chosen].tolist(),
+                                          hm[img[chosen], rows[chosen], cols[chosen]].tolist()):
+        areas[i].append(DistinctiveArea(cx, cy, bw, bh, score))
+    return areas
 
 
 def _decode_arrays(heat: np.ndarray, size: np.ndarray, offset: np.ndarray,
                    n: int) -> list[DistinctiveArea]:
-    hm = heat[0]
-    h, w = hm.shape
-    peaks = _peak_mask(hm)
-    rows, cols = np.nonzero(peaks)
-    scores = hm[rows, cols]
-    # score descending, then raster order: stable under candidate permutation
-    order = np.lexsort((rows * w + cols, -scores))
-    areas: list[DistinctiveArea] = []
-    for idx in order:
-        if len(areas) == n:
-            break
-        r, c = int(rows[idx]), int(cols[idx])
-        area = DistinctiveArea(
-            center_x=c + float(offset[0, r, c]),
-            center_y=r + float(offset[1, r, c]),
-            width=float(size[0, r, c]),
-            height=float(size[1, r, c]),
-            score=float(hm[r, c]),
-        )
-        x0, x1, y0, y1 = area.clipped_box(h, w)
-        if x1 <= x0 or y1 <= y0:
-            continue
-        areas.append(area)
-    return areas
+    """decode_batch for one image: heat (1,H,W), size and offset (2,H,W)."""
+    return decode_batch(heat[None], size[None], offset[None], n)[0]
 
 
 def decode_areas(heatmap: Tensor, size: Tensor, offset: Tensor, n: int) -> list[DistinctiveArea]:
@@ -198,32 +216,18 @@ def decode_areas(heatmap: Tensor, size: Tensor, offset: Tensor, n: int) -> list[
 
 
 def area_mask(area: DistinctiveArea, dims: tuple[int, int]) -> Tensor:
-    """Binary HxW mask: a cell belongs iff its center lies inside the
-    clipped box. Cell (r, c) has center (c + 0.5, r + 0.5); the box is
-    half-open so zero-area boxes select nothing."""
+    """Binary HxW mask of the cells whose centers lie inside the clipped box."""
     h, w = dims
-    x0, x1, y0, y1 = area.clipped_box(h, w)
-    cols = np.arange(w) + 0.5
-    rows = np.arange(h) + 0.5
-    inside = ((rows >= y0) & (rows < y1))[:, None] & ((cols >= x0) & (cols < x1))[None, :]
-    return Tensor(inside.astype(np.float32), copy=False)
+    mask = _box_masks(area.clipped_box(h, w), h, w)
+    return Tensor(mask.astype(np.float32), copy=False)
 
 
 def masked_distill_loss(f_s_aligned: Tensor, f_t_aug: Tensor, areas) -> float:
     """Sum over areas of the masked mean squared feature difference."""
     if f_s_aligned.dims != f_t_aug.dims:
         raise ShapeError(f"feature shape mismatch: {f_s_aligned.dims} vs {f_t_aug.dims}")
-    c, h, w = f_s_aligned.dims
     diff = f_s_aligned.data.astype(np.float64) - f_t_aug.data.astype(np.float64)
-    sq = diff * diff
-    total = 0.0
-    for area in areas:
-        mask = area_mask(area, (h, w)).data
-        count = float(mask.sum())
-        if count == 0:
-            continue
-        total += float((sq * mask[None, :, :]).sum()) / (count * c)
-    return total
+    return float((batched_mask_weights([areas], f_s_aligned.dims)[0] * diff * diff).sum())
 
 
 def batched_mask_weights(areas_per_image, dims: tuple[int, int, int]) -> np.ndarray:
@@ -231,14 +235,18 @@ def batched_mask_weights(areas_per_image, dims: tuple[int, int, int]) -> np.ndar
     sum(W * diff^2) equals the summed masked means; batch averaging is the
     caller's concern."""
     c, h, w = dims
-    out = np.zeros((len(areas_per_image), c, h, w), dtype=np.float32)
+    count = len(areas_per_image)
+    depth = max((len(areas) for areas in areas_per_image), default=0)
+    # a missing area has zero size, so its mask is empty
+    raw = np.zeros((count, depth, 4))
     for i, areas in enumerate(areas_per_image):
-        acc = np.zeros((h, w), dtype=np.float32)
-        for area in areas:
-            mask = area_mask(area, (h, w)).data
-            count = float(mask.sum())
-            if count == 0:
-                continue
-            acc += mask / np.float32(count * c)
-        out[i] = acc[None, :, :]
-    return out
+        raw[i, :len(areas)] = np.reshape([(a.center_x, a.center_y, a.width, a.height)
+                                          for a in areas], (-1, 4))
+    masks = _box_masks(_clip_boxes(raw, h, w), h, w)
+    weights = np.float32(1) / (np.maximum(masks.sum(axis=(2, 3)), 1) * c).astype(np.float32)
+    # added in area-rank order, so the float32 sums are those of adding one
+    # area at a time; an empty mask adds exact zeros
+    acc = np.zeros((count, h, w), dtype=np.float32)
+    for k in range(depth):
+        acc += np.where(masks[:, k], weights[:, k, None, None], np.float32(0))
+    return np.repeat(acc[:, None], c, axis=1)

@@ -42,7 +42,10 @@ def save_tensor(path, t) -> None:
 
 def load_tensor(path):
     """Read a container; returns Tensor for float32, uint32 ndarray for uint32."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 7:

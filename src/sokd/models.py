@@ -254,6 +254,7 @@ def pretrain_teacher(backbone: Backbone, dataset: Dataset, epochs: int, lr: floa
             _, logits, nodes = model.build(tape, x, trainable=True)
             loss = ad.cross_entropy(logits, dataset.labels[idx])
             grads = ad.backward(loss)
+            tape.release()
             named = {name: grads[node] for name, node in nodes.items()}
             model.weights = opt.step(model.weights, named, epoch_lr)
     acc = classification_accuracy(model, eval_dataset if eval_dataset is not None else dataset)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteError, ShapeError
 
@@ -144,17 +143,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, copy=False)
 
 
-def _conv_windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    # (N, C, H', W', kh, kw) view over the padded input
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))
+# The no-tape conv builds patch matrices for at most this many images at a
+# time: at batch 256 (evaluation, the teacher-feature cache) one matrix
+# takes 37.7 MB against 9.4 MB, and where the allocator put it raised peak RSS.
+_PATCH_IMAGES = 64
 
 
 def _conv1x1(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Channel mixing by a (K, C) matrix; x is NCHW."""
     n, c, h, w = x.shape
-    flat = x.transpose(0, 2, 3, 1).reshape(-1, c)
-    out = flat @ mat.T
-    return np.ascontiguousarray(out.reshape(n, h, w, -1).transpose(0, 3, 1, 2))
+    return (mat @ x.reshape(n, c, h * w)).reshape(n, -1, h, w)
 
 
 def _pad_for(x: np.ndarray, kh: int, kw: int, padding: str) -> np.ndarray:
@@ -171,20 +169,25 @@ def _pad_for(x: np.ndarray, kh: int, kw: int, padding: str) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Materialized (N*H'*W', C*kh*kw) patch matrix over a padded input."""
-    windows = _conv_windows(xp, kh, kw)
-    n, c, oh, ow = windows.shape[:4]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * oh * ow, c * kh * kw)
-    return cols, (oh, ow)
+    """Per-image patch matrices (N, C*kh*kw, H'*W') over a padded input;
+    rows run over (c, i, j), so a (K, C*kh*kw) kernel matrix times them
+    is already NCHW."""
+    n, c, hp, wp = xp.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + oh, j:j + ow]
+    return cols.reshape(n, c * kh * kw, oh * ow), (oh, ow)
 
 
-def _col2im_add(dcols: np.ndarray, n: int, c: int, hp: int, wp: int,
-                kh: int, kw: int, out_hw: tuple[int, int]) -> np.ndarray:
-    """Scatter-accumulate column gradients back onto the padded input."""
-    oh, ow = out_hw
+def _col2im_add(dcols: np.ndarray, padded_shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Scatter-accumulate (N, C*kh*kw, H'*W') column gradients back onto
+    the padded input."""
+    n, c, hp, wp = padded_shape
+    oh, ow = hp - kh + 1, wp - kw + 1
     dxp = np.zeros((n, c, hp, wp), dtype=np.float32)
-    d6 = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + oh, j:j + ow] += d6[:, :, i, j]
@@ -200,9 +203,14 @@ def _conv2d_raw(x: np.ndarray, w: np.ndarray, padding: str) -> np.ndarray:
         raise ShapeError(f"unknown padding mode {padding!r}")
     if kh == 1 and kw == 1:
         return _conv1x1(x, w.reshape(k, c))
-    cols, (oh, ow) = _im2col(_pad_for(x, kh, kw, padding), kh, kw)
-    out = cols @ w.reshape(k, -1).T
-    return np.ascontiguousarray(out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2))
+    xp = _pad_for(x, kh, kw, padding)
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    w_mat = w.reshape(k, -1)
+    out = np.empty((n, k, oh, ow), dtype=np.float32)
+    for s in range(0, n, _PATCH_IMAGES):
+        cols, _ = _im2col(xp[s:s + _PATCH_IMAGES], kh, kw)
+        np.matmul(w_mat, cols, out=out[s:s + _PATCH_IMAGES].reshape(-1, k, oh * ow))
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, padding: str = "same") -> Tensor:
@@ -214,38 +222,6 @@ def conv2d(x: Tensor, w: Tensor, padding: str = "same") -> Tensor:
     if len(x.dims) == 4:
         return Tensor(_conv2d_raw(x.data, w.data, padding), copy=False)
     raise ShapeError(f"conv2d input must be 3-d or 4-d, got {x.dims}")
-
-
-def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
-                      padding: str) -> np.ndarray:
-    """Gradient of conv2d output w.r.t. its input (both NCHW)."""
-    k, c, kh, kw = w.shape
-    if kh == 1 and kw == 1:
-        return _conv1x1(dy, w.reshape(k, c).T)
-    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    dyp = np.pad(dy, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    dxp = _conv2d_raw(dyp, wf, "valid")
-    if padding == "same":
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        return np.ascontiguousarray(dxp[:, :, ph:ph + in_hw[0], pw:pw + in_hw[1]])
-    return dxp
-
-
-def conv2d_weight_grad(dy: np.ndarray, x: np.ndarray, kernel_hw: tuple[int, int],
-                       padding: str) -> np.ndarray:
-    """Gradient of conv2d output w.r.t. the kernel (dy, x in NCHW)."""
-    kh, kw = kernel_hw
-    if kh == 1 and kw == 1:
-        k, c = dy.shape[1], x.shape[1]
-        prod = dy.reshape(dy.shape[0], k, -1) @ x.reshape(x.shape[0], c, -1).transpose(0, 2, 1)
-        return prod.sum(axis=0).reshape(k, c, 1, 1)
-    if padding == "same":
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    else:
-        xp = x
-    windows = _conv_windows(xp, kh, kw)
-    return np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
 
 
 def avg_pool2d(x: Tensor) -> Tensor:

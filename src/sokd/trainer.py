@@ -31,7 +31,7 @@ from .dafa import (
     draw_mix_noise,
     mix_subpolicies,
 )
-from .dam import DamHead, _decode_arrays, batched_mask_weights, build_dam_head
+from .dam import DamHead, batched_mask_weights, build_dam_head, decode_batch
 from .data import Dataset, split_train_val
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .models import (
@@ -204,8 +204,7 @@ def inner_step(state: TrainState, batch) -> dict:
             heat, size, offset = (student_branches[b].data for b in ("heatmap", "size", "offset"))
         else:
             heat, size, offset = teacher_branches
-        areas = [_decode_arrays(heat[i], size[i], offset[i], state.cfg.dam.n_areas)
-                 for i in range(x.shape[0])]
+        areas = decode_batch(heat, size, offset, state.cfg.dam.n_areas)
         mask_w = batched_mask_weights(areas, aligned.dims[1:]) / np.float32(x.shape[0])
         d = ad.sub(aligned, tape.constant(Tensor(f_t_aug)))
         l_da = ad.sum_all(ad.mul(ad.mul(d, d), tape.constant(Tensor(mask_w))))
@@ -216,6 +215,7 @@ def inner_step(state: TrainState, batch) -> dict:
     record["total_loss"] = float(total.data[0])
     _check_finite_loss(record["total_loss"], "training loss")
     grads = ad.backward(total)
+    tape.release()
     named_weights = {f"student.{n}": w for n, w in state.student.weights.items()}
     named_weights["adapter.w"] = state.adapter.w
     if state.cfg.mode != "baseline":
@@ -252,6 +252,7 @@ def outer_step(state: TrainState, val_batch) -> float:
     aug_value = float(loss.data[0])
     _check_finite_loss(aug_value, "consistency loss")
     grads = ad.backward(loss)
+    tape.release()
 
     weights, named_grads, slots = {}, {}, {}
     for key, node in params.items():
@@ -333,8 +334,7 @@ def probe_area_rows(state: TrainState, dataset: Dataset, epoch: int) -> list:
         source = feats
     heat, size, offset = state.head.forward_arrays(source)
     rows = []
-    for i in range(n):
-        areas = _decode_arrays(heat[i], size[i], offset[i], state.cfg.dam.n_areas)
+    for i, areas in enumerate(decode_batch(heat, size, offset, state.cfg.dam.n_areas)):
         for rank, a in enumerate(areas):
             rows.append({"epoch": epoch, "image_index": i, "area_rank": rank,
                          "center_x": a.center_x, "center_y": a.center_y,

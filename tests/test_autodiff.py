@@ -1,7 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sokd import autodiff as ad
+from sokd import tensor as tc
 from sokd.autodiff import CustomBackward, Tape, backward, straight_through
 from sokd.errors import ShapeError
 from sokd.oracle import finite_diff_grad
@@ -31,6 +36,23 @@ def check_param_grad(build, x0: Tensor, tol=1e-3):
 
 
 class TestBackwardContracts:
+    def test_release_leaves_no_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.param(Tensor(np.ones((2, 3, 4, 4), dtype=np.float32)))
+            w = tape.param(Tensor(np.ones((2, 3, 3, 3), dtype=np.float32)))
+            loss = ad.sum_all(ad.conv2d(x, w, "same"))
+            grads = backward(loss)
+            tape.release()
+            assert tape.nodes == [] and tape.params == []
+            del tape, x, w, loss, grads
+            # reference counting alone freed the graph
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_sum_gives_ones(self):
         tape = Tape()
         x = tape.param(Tensor([[1.0, 2.0], [3.0, 4.0]]))
@@ -268,3 +290,74 @@ class TestFiniteDifferenceAgreement:
             return ad.add(ad.sum_all(ad.mul(p, p)), ad.mean_all(ad.sigmoid(p)))
 
         check_param_grad(build, x0)
+
+
+def _reference_conv(x, w, padding, up):
+    """float64 direct loop over kernel taps: the output, and the input and
+    weight gradients of sum(output * up)."""
+    x, w, up = (a.astype(np.float64) for a in (x, w, up))
+    k, c, kh, kw = w.shape
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], k, oh, ow))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i:i + oh, j:j + ow]
+            out += np.einsum("kc,nchw->nkhw", w[:, :, i, j], window)
+            gxp[:, :, i:i + oh, j:j + ow] += np.einsum("kc,nkhw->nchw", w[:, :, i, j], up)
+            gw[:, :, i, j] = np.einsum("nkhw,nchw->kc", up, window)
+    return out, gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]], gw
+
+
+def _tape_conv(x, w, padding, up):
+    tape = Tape()
+    xn, wn = tape.param(Tensor(x)), tape.param(Tensor(w))
+    out = ad.conv2d(xn, wn, padding)
+    grads = backward(ad.sum_all(ad.mul(out, tape.constant(Tensor(up)))))
+    return out.data, grads[xn].data, grads[wn].data
+
+
+@st.composite
+def conv_case(draw, batches):
+    n = draw(st.sampled_from(batches))
+    kernel, padding = draw(st.sampled_from([(3, "same"), (3, "valid"), (1, "same")]))
+    low = 3 if padding == "valid" else 1
+    h, w = draw(st.integers(low, 6)), draw(st.integers(low, 6))
+    c, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = rng.standard_normal((k, c, kernel, kernel)).astype(np.float32)
+    return x, wt, padding, rng
+
+
+class TestConvProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(conv_case([1, 63, 64, 65, 130]))
+    def test_no_tape_batches_match_per_image_and_tape(self, case):
+        x, w, padding, _ = case
+        batched = tc._conv2d_raw(x, w, padding)
+        per_image = np.concatenate([tc._conv2d_raw(x[i:i + 1], w, padding)
+                                    for i in range(x.shape[0])])
+        assert batched.tobytes() == per_image.tobytes()
+        tape = Tape()
+        taped = ad.conv2d(tape.constant(Tensor(x)), tape.constant(Tensor(w)), padding)
+        assert batched.tobytes() == taped.data.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(conv_case([1, 2, 5]))
+    def test_forward_and_gradients_match_float64_reference(self, case):
+        x, w, padding, rng = case
+        out_dims = tc._conv2d_raw(x, w, padding).shape
+        up = rng.standard_normal(out_dims).astype(np.float32)
+        got = _tape_conv(x, w, padding, up)
+        ref = _reference_conv(x, w, padding, up)
+        # float32 sums of m terms stay within m * eps32 of the sum of
+        # their magnitudes; 1e-4 covers m up to ~800
+        bound = _reference_conv(np.abs(x), np.abs(w), padding, np.abs(up))
+        for g, r, b in zip(got, ref, bound):
+            assert g.shape == r.shape
+            assert np.all(np.abs(g - r) <= 1e-4 * b + 1e-12)

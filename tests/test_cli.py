@@ -138,6 +138,33 @@ class TestExitCodes:
         empty.mkdir()
         assert run_cli("report", "--out", str(empty)) == 3
 
+    def test_missing_policy_file_is_3(self, workspace, tmp_path):
+        code = run_cli("distill", "--out", str(tmp_path / "o"),
+                       f"--set=train.teacher_checkpoint={workspace['teacher_ckpt']}",
+                       f"--set=train.policy_path={tmp_path}/ghost.json",
+                       *workspace["common"])
+        assert code == 3
+
+    def test_policy_oracle_missing_policy_file_is_3(self, workspace, tmp_path):
+        code = run_cli("policy-oracle", "--out", str(tmp_path / "o"),
+                       f"--set=train.teacher_checkpoint={workspace['teacher_ckpt']}",
+                       f"--set=train.policy_path={tmp_path}/ghost.json",
+                       '--set=policy.subpolicies=[["identity"]]',
+                       *workspace["common"])
+        assert code == 3
+
+    @pytest.mark.parametrize("missing", ["train_images.sokt", "train_labels.sokt"])
+    def test_missing_split_file_is_3(self, tmp_path, missing, capsys):
+        data = tmp_path / "d"
+        sizes = ["--set=data.classes=2", "--set=data.train_per_class=2",
+                 "--set=data.test_per_class=1"]
+        assert run_cli("gen-data", f"--set=data.path={data}", *sizes) == 0
+        (data / missing).unlink()
+        capsys.readouterr()
+        assert run_cli("train-teacher", "--out", str(tmp_path / "o"),
+                       f"--set=data.path={data}", *sizes) == 3
+        assert missing in capsys.readouterr().err
+
     def test_sokd_distill_without_policy_is_2(self, workspace, tmp_path):
         code = run_cli("distill", "--out", str(tmp_path / "o"),
                        f"--set=train.teacher_checkpoint={workspace['teacher_ckpt']}",

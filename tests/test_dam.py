@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sokd import autodiff as ad
 from sokd.dam import (
     DistinctiveArea,
+    _decode_arrays,
     area_mask,
     batched_mask_weights,
     build_dam_head,
     dam_align_loss,
     dam_forward,
     decode_areas,
+    decode_batch,
     masked_distill_loss,
     zero_dam_head,
 )
@@ -228,3 +233,102 @@ class TestBatchedMaskWeights:
         per_image = sum(
             masked_distill_loss(Tensor(a[i]), Tensor(b[i]), areas[i]) for i in range(3))
         assert abs(batched - per_image) < 1e-4
+
+
+def _reference_decode(hm, size, offset, n):
+    """Per-image decode, one candidate at a time: (cx, cy, w, h, score) rows."""
+    h, w = hm.shape
+    padded = np.full((h + 2, w + 2), -np.inf)
+    padded[1:-1, 1:-1] = hm
+    peaks = np.ones((h, w), dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                peaks &= hm >= padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+    rows, cols = np.nonzero(peaks)
+    order = np.lexsort((rows * w + cols, -hm[rows, cols]))
+    areas = []
+    for idx in order:
+        if len(areas) == n:
+            break
+        r, c = int(rows[idx]), int(cols[idx])
+        cx, cy = c + float(offset[0, r, c]), r + float(offset[1, r, c])
+        bw, bh = float(size[0, r, c]), float(size[1, r, c])
+        x0, x1 = max(cx - bw / 2.0, 0.0), min(cx + bw / 2.0, float(w))
+        y0, y1 = max(cy - bh / 2.0, 0.0), min(cy + bh / 2.0, float(h))
+        if x1 <= x0 or y1 <= y0:
+            continue
+        areas.append((cx, cy, bw, bh, float(hm[r, c])))
+    return areas
+
+
+def _reference_weights(areas_per_image, c, h, w):
+    """Per-image, per-area float32 accumulation of the mask weights."""
+    out = np.zeros((len(areas_per_image), c, h, w), dtype=np.float32)
+    rows, cols = np.arange(h) + 0.5, np.arange(w) + 0.5
+    for i, areas in enumerate(areas_per_image):
+        acc = np.zeros((h, w), dtype=np.float32)
+        for cx, cy, bw, bh, _ in areas:
+            x0, x1 = max(cx - bw / 2.0, 0.0), min(cx + bw / 2.0, float(w))
+            y0, y1 = max(cy - bh / 2.0, 0.0), min(cy + bh / 2.0, float(h))
+            mask = (((rows >= y0) & (rows < y1))[:, None]
+                    & ((cols >= x0) & (cols < x1))[None, :]).astype(np.float32)
+            count = float(mask.sum())
+            if count == 0:
+                continue
+            acc += mask / np.float32(count * c)
+        out[i] = acc[None]
+    return out
+
+
+def _as_rows(areas):
+    return [(a.center_x, a.center_y, a.width, a.height, a.score) for a in areas]
+
+
+@st.composite
+def dam_outputs(draw):
+    """Head outputs with plateaus and ties (few distinct heat values), boxes
+    that are empty, partly off the grid or cover it, and 1x1 grids."""
+    n_img = draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    heat = draw(hnp.arrays(np.float32, (n_img, 1, h, w),
+                           elements=st.one_of(st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+                                              st.floats(0.0, 1.0, width=32))))
+    size = draw(hnp.arrays(np.float32, (n_img, 2, h, w),
+                           elements=st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0, 40.0])))
+    offset = draw(hnp.arrays(np.float32, (n_img, 2, h, w),
+                             elements=st.sampled_from([-3.0, 0.0, 0.25, 0.5, 0.999, 5.0])))
+    return heat, size, offset
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestBatchedDecodeProperties:
+    @_PROPERTY
+    @given(dam_outputs(), st.integers(1, 40), st.integers(1, 3))
+    def test_batch_equals_per_image_reference(self, outputs, n, c):
+        heat, size, offset = outputs
+        decoded = decode_batch(heat, size, offset, n)
+        expected = [_reference_decode(heat[i, 0], size[i], offset[i], n)
+                    for i in range(heat.shape[0])]
+        got = [_as_rows(areas) for areas in decoded]
+        assert np.array(sum(got, []), dtype=np.float64).tobytes() == \
+            np.array(sum(expected, []), dtype=np.float64).tobytes()
+        assert [len(r) for r in got] == [len(r) for r in expected]
+        for i in range(heat.shape[0]):
+            assert _as_rows(_decode_arrays(heat[i], size[i], offset[i], n)) == expected[i]
+        h, w = heat.shape[2:]
+        weights = batched_mask_weights(decoded, (c, h, w))
+        assert weights.dtype == np.float32
+        assert weights.tobytes() == _reference_weights(expected, c, h, w).tobytes()
+
+    @_PROPERTY
+    @given(st.lists(st.lists(st.tuples(*[st.sampled_from([-2.0, 0.0, 0.5, 1.5, 3.0, 9.0])] * 4),
+                             max_size=4), min_size=1, max_size=4),
+           st.integers(1, 5), st.integers(1, 5))
+    def test_mask_weights_match_reference_for_any_areas(self, boxes, h, w):
+        areas = [[DistinctiveArea(*box, 0.5) for box in image] for image in boxes]
+        rows = [[box + (0.5,) for box in image] for image in boxes]
+        assert batched_mask_weights(areas, (2, h, w)).tobytes() == \
+            _reference_weights(rows, 2, h, w).tobytes()
