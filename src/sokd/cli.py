@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, config_from_dict
+from .config import RunConfig, load_config
 from .dafa import (
     AugPolicy,
     OpChoice,
@@ -263,6 +263,21 @@ def cmd_policy_oracle(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_csv_rows(path: Path) -> list[dict]:
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    if not lines:
+        raise DataError(f"{path} is empty: no header row")
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _number(path: Path, key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: {key} value {value!r} is not a number") from None
+
+
 def _collect_runs(root: Path) -> list[dict]:
     runs = []
     for metrics_path in sorted(root.rglob("metrics.csv")):
@@ -270,16 +285,20 @@ def _collect_runs(root: Path) -> list[dict]:
         info = {"dir": str(run_dir.relative_to(root)) or ".", "mode": None, "seed": None}
         cfg_path = run_dir / "config.json"
         if cfg_path.exists():
-            doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+            try:
+                doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{cfg_path}: not valid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise DataError(f"{cfg_path}: not a JSON object")
             info["mode"] = doc.get("mode")
             info["seed"] = doc.get("seed")
             info["task"] = doc.get("task")
-        lines = metrics_path.read_text(encoding="utf-8").strip().splitlines()
-        header = lines[0].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        test_rows = [r for r in rows if r.get("split") == "test" and r.get("top1")]
-        info["final_top1"] = float(test_rows[-1]["top1"]) if test_rows else None
-        info["best_top1"] = max((float(r["top1"]) for r in test_rows), default=None)
+        rows = _read_csv_rows(metrics_path)
+        top1s = [_number(metrics_path, "top1", r["top1"]) for r in rows
+                 if r.get("split") == "test" and r.get("top1")]
+        info["final_top1"] = top1s[-1] if top1s else None
+        info["best_top1"] = max(top1s, default=None)
         dp = run_dir / "policy_discrete.json"
         if dp.exists():
             policy = policy_from_document(dp.read_text(encoding="utf-8"))
@@ -287,10 +306,9 @@ def _collect_runs(root: Path) -> list[dict]:
                               for op in policy.subpolicies[0].ops]
         ks_path = run_dir / "ks.csv"
         if ks_path.exists():
-            ks_lines = ks_path.read_text(encoding="utf-8").strip().splitlines()
-            ks_row = dict(zip(ks_lines[0].split(","), ks_lines[1].split(",")))
-            info["ks_statistic"] = float(ks_row["statistic"])
-            info["ks_critical_5pct"] = float(ks_row["critical_5pct"])
+            ks_row = (_read_csv_rows(ks_path) or [{}])[0]
+            for key in ("statistic", "critical_5pct"):
+                info[f"ks_{key}"] = _number(ks_path, key, ks_row.get(key))
         runs.append(info)
     return runs
 
@@ -385,23 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    else:
-        doc = {}
-    apply_overrides(doc, args.overrides)
-    doc["task"] = args.task
+    fields = {"task": args.task}
     if args.seed is not None:
-        doc["seed"] = args.seed
+        fields["seed"] = args.seed
     if args.out is not None:
-        doc["out_dir"] = args.out
-    return config_from_dict(doc)
+        fields["out_dir"] = args.out
+    return load_config(args.config or None, args.overrides, **fields)
 
 
 def main(argv=None) -> int:

@@ -185,25 +185,41 @@ def config_from_dict(doc: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+def load_config(path=None, overrides=(), **fields) -> RunConfig:
+    """The config in the JSON file at path (defaults when None), then the
+    --set overrides, then the given root fields."""
+    doc = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file {path} does not exist")
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: configuration document must be a JSON object")
+    apply_overrides(doc, overrides)
+    doc.update(fields)
     return config_from_dict(doc)
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply --set key.path=value pairs onto a raw config dict."""
+    schema = RunConfig()
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, raw = item.split("=", 1)
+        parts = dotted.split(".")
+        default = schema
+        for part in parts:
+            default = getattr(default, part, None)
         try:
-            value = json.loads(raw)
+            # a str field keeps the raw text, so data.path=123 stays a path
+            value = raw if isinstance(default, str) else json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        parts = dotted.split(".")
         target = doc
         for part in parts[:-1]:
             target = target.setdefault(part, {})

@@ -139,12 +139,12 @@ def _channel_axis(ndim: int) -> int:
 
 def _draw_op_noise(kind: str, shape: tuple[int, ...], m: float, rng: Rng) -> dict:
     if kind == "additive_gaussian_noise":
-        return {"eps": rng.normal(shape).astype(np.float32)}
+        return {"eps": rng.normal(shape, np.float32)}
     if kind == "feature_mask":
         numel = int(np.prod(shape))
         count = int(round(m * numel))
         mask = np.ones(numel, dtype=np.float32)
-        mask[rng.permutation(numel)[:count]] = 0.0
+        mask[rng.permutation(numel, count)] = 0.0
         return {"mask": mask.reshape(shape)}
     if kind == "channel_shuffle":
         c = shape[_channel_axis(len(shape))]

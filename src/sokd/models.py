@@ -98,8 +98,7 @@ class Backbone:
         feature = None
         for i, token in enumerate(self.spec.stages):
             if token == "pool":
-                n, c, hh, ww = h.shape
-                h = h.reshape(n, c, hh // 2, 2, ww // 2, 2).mean(axis=(3, 5), dtype=np.float32)
+                h = tc._pool_raw(h)
             else:
                 w = self.weights[f"stage{i}.w"].data
                 b = self.weights[f"stage{i}.b"].data

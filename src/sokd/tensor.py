@@ -8,8 +8,6 @@ contract violation and raises NonFiniteError instead of propagating.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
@@ -49,11 +47,6 @@ class Tensor:
     @classmethod
     def full(cls, dims, value: float) -> "Tensor":
         return cls(np.full(dims, value, dtype=np.float32), copy=False)
-
-    @classmethod
-    def from_flat(cls, flat, dims) -> "Tensor":
-        arr = np.asarray(flat, dtype=np.float32).reshape(dims)
-        return cls(arr)
 
     def reshape(self, dims) -> "Tensor":
         return Tensor(self._data.reshape(dims), copy=False)
@@ -113,26 +106,24 @@ class Rng:
         ints = self._gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
         return (ints.astype(np.float64) + 0.5) / float(1 << 53)
 
-    def normal(self, shape=None) -> np.ndarray:
-        return self._gen.standard_normal(size=shape, dtype=np.float64)
+    def normal(self, shape=None, dtype=np.float64) -> np.ndarray:
+        """Standard normals drawn in `dtype` (float32 is its own stream, not a cast)."""
+        return self._gen.standard_normal(size=shape, dtype=dtype)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    def permutation(self, n: int, k=None) -> np.ndarray:
+        """A permutation of range(n), or k distinct indices without shuffling all n."""
+        if k is None:
+            return self._gen.permutation(n)
+        return self._gen.choice(n, k, replace=False)
 
 
 def gumbel_from_uniform(u) -> np.ndarray:
     """The Gumbel transform g = -log(-log(u)) for u in (0, 1)."""
     u = np.asarray(u, dtype=np.float64)
     return -np.log(-np.log(u))
-
-
-def sample_gumbel(rng: Rng, n: int) -> Tensor:
-    if n < 1:
-        raise ShapeError("sample_gumbel needs n >= 1")
-    return Tensor(gumbel_from_uniform(rng.uniform(n)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -224,20 +215,24 @@ def conv2d(x: Tensor, w: Tensor, padding: str = "same") -> Tensor:
     raise ShapeError(f"conv2d input must be 3-d or 4-d, got {x.dims}")
 
 
+def _pool_raw(arr: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 mean over the last two (even) axes. (a+b)+(c+d) is the
+    order numpy's two-axis mean adds in, so the bytes match it, except at a
+    2x2 input (1x1 output), where numpy's order differs in the last bit."""
+    out = arr[..., 0::2, 0::2] + arr[..., 0::2, 1::2]
+    out += arr[..., 1::2, 0::2] + arr[..., 1::2, 1::2]
+    out *= np.float32(0.25)
+    return out
+
+
 def avg_pool2d(x: Tensor) -> Tensor:
     """2x2 average pooling with stride 2 on (C,H,W) or (N,C,H,W)."""
-    arr = x.data
-    squeeze = False
-    if arr.ndim == 3:
-        arr = arr[None]
-        squeeze = True
-    if arr.ndim != 4:
+    if len(x.dims) not in (3, 4):
         raise ShapeError(f"avg_pool2d input must be 3-d or 4-d, got {x.dims}")
-    n, c, h, w = arr.shape
+    h, w = x.dims[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2d needs even spatial dims, got {h}x{w}")
-    out = arr.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5), dtype=np.float32)
-    return Tensor(out[0] if squeeze else out, copy=False)
+    return Tensor(_pool_raw(x.data), copy=False)
 
 
 def avg_pool2d_input_grad(dy: np.ndarray) -> np.ndarray:
@@ -324,8 +319,3 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     return elementwise("sigmoid", a)
-
-
-def exact_sum(values) -> float:
-    """Exactly rounded sum of float values (order-independent)."""
-    return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist())

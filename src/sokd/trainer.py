@@ -46,20 +46,6 @@ from .optim import Adam, SgdMomentum
 from .tensor import Rng, Tensor
 
 
-@dataclass
-class LossWeights:
-    """Weights of the head-alignment and masked-distillation terms (the
-    alignment weight doubles as the plain feature-loss weight in
-    baseline mode)."""
-
-    alpha_w: float = 1.0
-    beta_w: float = 1.0
-
-    def validate(self) -> None:
-        if self.alpha_w < 0 or self.beta_w < 0:
-            raise ConfigError("loss weights must be nonnegative")
-
-
 def arch_from_config(arch_cfg, data_cfg, name: str) -> ArchSpec:
     spec = ArchSpec(name, (data_cfg.channels, data_cfg.image_size, data_cfg.image_size),
                     tuple(arch_cfg.stages), data_cfg.classes, arch_cfg.feature_tap)
@@ -84,7 +70,6 @@ class TrainState:
     adapter: Adapter
     head: DamHead
     policy: AugPolicy
-    weights: LossWeights
     cfg: RunConfig
     rng: Rng
     inner_opt: SgdMomentum
@@ -111,15 +96,12 @@ def init_train_state(cfg: RunConfig, teacher: Backbone, rng: Rng) -> TrainState:
     t_ch = teacher.spec.feature_shape()[0]
     adapter = Adapter.init_random(s_ch, t_ch, rng.child("adapter-init"))
     head = build_dam_head(t_ch, cfg.dam.mid_channels, rng.child("head-init"))
-    weights = LossWeights(cfg.loss.alpha_w, cfg.loss.beta_w)
-    weights.validate()
     return TrainState(
         teacher=teacher,
         student=student,
         adapter=adapter,
         head=head,
         policy=policy_from_config(cfg.policy),
-        weights=weights,
         cfg=cfg,
         rng=rng,
         inner_opt=SgdMomentum(cfg.train.momentum),
@@ -188,7 +170,7 @@ def inner_step(state: TrainState, batch) -> dict:
     if state.cfg.mode == "baseline":
         diff = ad.sub(tape.constant(Tensor(f_t_aug)), aligned)
         l_feat = ad.mean_all(ad.mul(diff, diff))
-        total = ad.add(task, ad.lin(l_feat, state.weights.alpha_w, 0.0))
+        total = ad.add(task, ad.lin(l_feat, state.cfg.loss.alpha_w, 0.0))
         record.update(ld_loss=None, lda_loss=None, feat_loss=float(l_feat.data[0]))
     else:
         teacher_branches = state.head.forward_arrays(f_t_aug)
@@ -208,8 +190,8 @@ def inner_step(state: TrainState, batch) -> dict:
         mask_w = batched_mask_weights(areas, aligned.dims[1:]) / np.float32(x.shape[0])
         d = ad.sub(aligned, tape.constant(Tensor(f_t_aug)))
         l_da = ad.sum_all(ad.mul(ad.mul(d, d), tape.constant(Tensor(mask_w))))
-        total = ad.add(task, ad.add(ad.lin(l_d, state.weights.alpha_w, 0.0),
-                                    ad.lin(l_da, state.weights.beta_w, 0.0)))
+        total = ad.add(task, ad.add(ad.lin(l_d, state.cfg.loss.alpha_w, 0.0),
+                                    ad.lin(l_da, state.cfg.loss.beta_w, 0.0)))
         record.update(ld_loss=float(l_d.data[0]), lda_loss=float(l_da.data[0]))
 
     record["total_loss"] = float(total.data[0])

@@ -116,6 +116,11 @@ class TestExitCodes:
         bad.write_text("{broken")
         assert run_cli("gen-data", "--config", str(bad)) == 2
 
+    def test_non_object_config_file_is_2(self, tmp_path):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1]")
+        assert run_cli("gen-data", "--config", str(listed)) == 2
+
     def test_missing_config_file_is_2(self, tmp_path):
         assert run_cli("gen-data", "--config", str(tmp_path / "none.json")) == 2
 
@@ -137,6 +142,23 @@ class TestExitCodes:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run_cli("report", "--out", str(empty)) == 3
+
+    @pytest.mark.parametrize("case", ["empty-metrics", "bad-top1", "bad-config"])
+    def test_report_on_malformed_run_is_3(self, tmp_path, capsys, case):
+        run = tmp_path / "r" / "run"
+        run.mkdir(parents=True)
+        metrics = "epoch,split,top1\n0,test,0.5\n"
+        (run / "config.json").write_text('{"mode": "sokd", "seed": 0}')
+        if case == "empty-metrics":
+            metrics = ""
+        elif case == "bad-top1":
+            metrics += "1,test,oops\n"
+        else:
+            (run / "config.json").write_text("{not json")
+        (run / "metrics.csv").write_text(metrics)
+        assert run_cli("report", "--out", str(tmp_path / "r")) == 3
+        bad_file = "config.json" if case == "bad-config" else "metrics.csv"
+        assert bad_file in capsys.readouterr().err
 
     def test_missing_policy_file_is_3(self, workspace, tmp_path):
         code = run_cli("distill", "--out", str(tmp_path / "o"),

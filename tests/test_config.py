@@ -74,6 +74,25 @@ class TestOverrides:
         assert cfg.policy.subpolicies == [["identity"]]
         assert cfg.policy.freeze_magnitudes is True
 
+    def test_string_field_keeps_raw_text(self):
+        doc = apply_overrides({}, ["data.path=123", "out_dir=1e3", "train.policy_path=true",
+                                   "dam.decode_path=teacher"])
+        cfg = config_from_dict(doc)
+        assert cfg.data.path == "123" and cfg.out_dir == "1e3"
+        assert cfg.train.policy_path == "true" and cfg.dam.decode_path == "teacher"
+
+    def test_non_string_fields_still_parse_json(self):
+        doc = apply_overrides({}, ["data.classes=7", "loss.alpha_w=0.5",
+                                   "policy.freeze_magnitudes=false", "teacher.stages=[\"conv:4\"]"])
+        cfg = config_from_dict(doc)
+        assert cfg.data.classes == 7 and cfg.loss.alpha_w == 0.5
+        assert cfg.policy.freeze_magnitudes is False and cfg.teacher.stages == ["conv:4"]
+
+    def test_number_for_numeric_field_type_checked(self):
+        doc = apply_overrides({}, ["train.batch_size=abc"])
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no_equals_sign"])

@@ -9,6 +9,7 @@ from sokd.dafa import (
     MixNoise,
     OpChoice,
     SubPolicy,
+    _draw_op_noise,
     _relaxed_gate,
     apply_discrete,
     apply_op,
@@ -41,6 +42,16 @@ class TestApplyOp:
     def test_full_mask_zeroes_everything(self):
         out = apply_op("feature_mask", feature(1), 1.0, Rng(2))
         np.testing.assert_array_equal(out.data, np.zeros((4, 5, 5)))
+
+    @pytest.mark.parametrize("m", [0.0, 0.1, 0.5, 1.0])
+    def test_mask_zeroes_exact_count(self, m):
+        f = Tensor(np.ones((4, 8, 6, 6), dtype=np.float32))
+        out = apply_op("feature_mask", f, m, Rng(3))
+        assert int((out.data == 0).sum()) == round(m * f.size)
+
+    def test_gaussian_noise_drawn_in_float32(self):
+        noise = _draw_op_noise("additive_gaussian_noise", (2, 3, 4, 4), 0.1, Rng(1))
+        assert noise["eps"].dtype == np.float32
 
     def test_uniform_scale_arithmetic(self):
         out = apply_op("uniform_scale", Tensor([2.0, 4.0]), 0.5, Rng(0))

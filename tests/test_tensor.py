@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sokd.errors import NonFiniteError, ShapeError
 from sokd.tensor import (
     Rng,
     Tensor,
+    _pool_raw,
     add,
     avg_pool2d,
     conv2d,
@@ -14,7 +17,6 @@ from sokd.tensor import (
     gumbel_from_uniform,
     matmul,
     relu,
-    sample_gumbel,
     sigmoid,
     softmax_temp,
 )
@@ -24,13 +26,12 @@ class TestTensor:
     def test_reshape_roundtrip_is_identity(self):
         rng = Rng(7)
         arr = rng.normal((2, 3, 4)).astype(np.float32)
-        t = Tensor(arr)
-        back = Tensor.from_flat(t.data.ravel(), (2, 3, 4))
+        back = Tensor(arr).reshape((24,)).reshape((2, 3, 4))
         np.testing.assert_array_equal(back.data, arr)
 
     def test_flat_length_must_match_dims(self):
         with pytest.raises(ValueError):
-            Tensor.from_flat([1.0, 2.0, 3.0], (2, 2))
+            Tensor([1.0, 2.0, 3.0]).reshape((2, 2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -153,15 +154,6 @@ class TestGumbel:
         gs = gumbel_from_uniform(us)
         assert np.all(np.diff(gs) > 0)
 
-    def test_determinism(self):
-        a = sample_gumbel(Rng(123, 4), 32)
-        b = sample_gumbel(Rng(123, 4), 32)
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            sample_gumbel(Rng(1), 0)
-
 
 class TestElementwise:
     def test_relu(self):
@@ -201,6 +193,30 @@ class TestAvgPool:
         with pytest.raises(ShapeError):
             avg_pool2d(Tensor.zeros((1, 3, 4)))
 
+    @staticmethod
+    def _six_d_mean(x, dtype=np.float32):
+        """The reshape-and-mean pooling that _pool_raw replaced."""
+        n, c, h, w = x.shape
+        return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5), dtype=dtype)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 256), c=st.sampled_from([3, 8, 16, 32]),
+           hw=st.sampled_from([16, 8, 4]), seed=st.integers(0, 2**32 - 1))
+    def test_strided_adds_match_six_d_mean_bytes(self, n, c, hw, seed):
+        x = Rng(seed).normal((n, c, hw, hw), np.float32) * np.float32(3)
+        assert _pool_raw(x).tobytes() == self._six_d_mean(x).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 5), h=st.integers(1, 12),
+           w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_within_float32_of_float64_reference(self, n, c, h, w, seed):
+        x = Rng(seed).normal((n, c, 2 * h, 2 * w), np.float32)
+        ref = self._six_d_mean(x.astype(np.float64), np.float64)
+        out = _pool_raw(x)
+        assert out.dtype == np.float32 and out.shape == (n, c, h, w)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=4 * np.finfo(np.float32).eps
+                                   * np.abs(x).max())
+
 
 class TestRng:
     def test_same_stream_same_sequence(self):
@@ -226,3 +242,21 @@ class TestRng:
     def test_uniform_open_interval(self):
         u = Rng(0).uniform(200000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+    def test_normal_dtype(self):
+        assert Rng(1).normal((3, 4), np.float32).dtype == np.float32
+        assert Rng(1).normal((3, 4)).dtype == np.float64
+
+    @pytest.mark.parametrize("n,k", [(0, 0), (10, 0), (10, 3), (10, 10), (20000, 2000),
+                                     (20000, 20000)])
+    def test_permutation_prefix(self, n, k):
+        idx = Rng(5, 2).permutation(n, k)
+        assert idx.shape == (k,)
+        assert len(np.unique(idx)) == k
+        if k:
+            assert idx.min() >= 0 and idx.max() < n
+        np.testing.assert_array_equal(idx, Rng(5, 2).permutation(n, k))
+
+    def test_full_permutation_stream_pinned(self):
+        # batch order and the train/val split draw from this stream
+        assert Rng(3).permutation(12).tolist() == [6, 9, 4, 1, 3, 5, 10, 8, 7, 0, 2, 11]
